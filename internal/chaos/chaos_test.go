@@ -1,7 +1,13 @@
 package chaos
 
 import (
+	"bufio"
+	"crypto/sha256"
 	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ringbft/internal/harness"
@@ -15,16 +21,83 @@ var (
 	flagFault  = flag.String("chaos.fault", "partition-shard", "fault class for TestReplaySeed")
 	flagShards = flag.Int("chaos.shards", 0, "shard count for TestReplaySeed (0 = default)")
 	flagDepth  = flag.Int("chaos.depth", 0, "pipeline depth for TestReplaySeed (0 = legacy unbounded drain)")
+	flagUpdate = flag.Bool("update", false, "rewrite testdata/matrix.golden from this run (TestChaosMatrix)")
 )
+
+// goldenPath records every matrix row's outcome. A change that claims to
+// leave behaviour unchanged must leave every row as recorded; one that
+// changes behaviour on purpose regenerates the file with
+// `go test ./internal/chaos -run TestChaosMatrix -update`.
+var goldenPath = filepath.Join("testdata", "matrix.golden")
+
+// goldenRow renders the outcome of one scenario as recorded in goldenPath.
+func goldenRow(res *RunResult) string {
+	return fmt.Sprintf("fingerprint=%x committed=%d ticks=%d lastCommitTick=%d",
+		sha256.Sum256([]byte(res.Fingerprint())), res.Committed, res.Ticks, res.LastCommitTick)
+}
+
+// readGolden parses goldenPath into scenario name -> row. A missing file
+// reads as empty, so -update can create it.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	rows := make(map[string]string)
+	f, err := os.Open(goldenPath)
+	if os.IsNotExist(err) {
+		return rows
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, row, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenPath, line)
+		}
+		rows[name] = row
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// writeGolden rewrites goldenPath with rows in matrix order.
+func writeGolden(t *testing.T, matrix []Scenario, rows map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("# TestChaosMatrix outcomes: scenario, SHA-256 of RunResult.Fingerprint(), counters.\n")
+	b.WriteString("# Regenerate: go test ./internal/chaos -run TestChaosMatrix -update\n")
+	for _, sc := range matrix {
+		if row, ok := rows[sc.Name()]; ok {
+			fmt.Fprintf(&b, "%s %s\n", sc.Name(), row)
+		}
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestChaosMatrix runs the full scenario matrix: every fault class against
 // RingBFT plus the baseline subset, each seeded and fully deterministic.
-// Every scenario must commit work, stay safe across all replicas, and
-// recover liveness after its last heal.
+// Every scenario must commit work, stay safe across all replicas, recover
+// liveness after its last heal, and reproduce its row of goldenPath.
 func TestChaosMatrix(t *testing.T) {
 	matrix := Matrix()
 	if len(matrix) < 20 {
 		t.Fatalf("matrix has %d scenarios, want >= 20", len(matrix))
+	}
+	golden := readGolden(t)
+	if *flagUpdate {
+		defer writeGolden(t, matrix, golden)
 	}
 	for _, sc := range matrix {
 		sc := sc
@@ -50,6 +123,19 @@ func TestChaosMatrix(t *testing.T) {
 			t.Logf("committed=%d ticks=%d probeTicks=%d replicas=%d %s",
 				res.Committed, res.Ticks, res.ProbeTicks, len(res.States),
 				res.StallReport())
+			row := goldenRow(res)
+			if *flagUpdate {
+				golden[sc.Name()] = row
+				return
+			}
+			want, ok := golden[sc.Name()]
+			if !ok {
+				t.Fatalf("no row for %s in %s; regenerate it with -update", sc.Name(), goldenPath)
+			}
+			if row != want {
+				t.Fatalf("outcome diverged from %s:\n  got  %s\n  want %s\nreproduce with: %s",
+					goldenPath, row, want, sc.ReproCmd())
+			}
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ringbft/internal/types"
@@ -198,78 +199,134 @@ func TestVerifyQuorumSerialParallelEquivalent(t *testing.T) {
 	}
 }
 
-// TestCertCacheKeyCoversContent: any byte of the certificate — tuple fields,
-// signature bytes, entry order, expected digest, quorum — must change the
-// cache key. This is the property that makes caching sound.
-func TestCertCacheKeyCoversContent(t *testing.T) {
-	_, _, cert, d := benchVerifierSetup(t, 4)
-	base := CertCacheKey(0, d, 3, cert)
-	mutations := []struct {
-		name string
-		key  func() CertKey
-	}{
-		{"different shard", func() CertKey { return CertCacheKey(1, d, 3, cert) }},
-		{"different digest", func() CertKey { return CertCacheKey(0, types.Digest{1}, 3, cert) }},
-		{"different quorum", func() CertKey { return CertCacheKey(0, d, 4, cert) }},
-		{"truncated cert", func() CertKey { return CertCacheKey(0, d, 3, cert[:3]) }},
-		{"flipped sig bit", func() CertKey {
-			c := append([]types.Signed(nil), cert...)
-			c[2].Sig = append([]byte(nil), c[2].Sig...)
-			c[2].Sig[10] ^= 1
-			return CertCacheKey(0, d, 3, c)
-		}},
-		{"different sender", func() CertKey {
-			c := append([]types.Signed(nil), cert...)
-			c[1].From = types.ReplicaNode(0, 9)
-			return CertCacheKey(0, d, 3, c)
-		}},
-		{"different view", func() CertKey {
-			c := append([]types.Signed(nil), cert...)
-			c[0].View++
-			return CertCacheKey(0, d, 3, c)
-		}},
-		{"reordered entries", func() CertKey {
-			c := append([]types.Signed(nil), cert...)
-			c[0], c[1] = c[1], c[0]
-			return CertCacheKey(0, d, 3, c)
-		}},
+// countingAuth counts the signature checks that reach the wrapped
+// Authenticator, i.e. the Ed25519 work a Verifier did not answer from its
+// cache.
+type countingAuth struct {
+	Authenticator
+	verifies atomic.Int64
+}
+
+func (c *countingAuth) Verify(signer types.NodeID, msg, sig []byte) error {
+	c.verifies.Add(1)
+	return c.Authenticator.Verify(signer, msg, sig)
+}
+
+func countingVerifier(t testing.TB, kg *Keygen, id types.NodeID) (*Verifier, *countingAuth) {
+	t.Helper()
+	ring, err := kg.Ring(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range mutations {
-		if m.key() == base {
-			t.Errorf("%s: cache key collision — cache poisoning possible", m.name)
+	ca := &countingAuth{Authenticator: ring}
+	return NewVerifier(ca, 0), ca
+}
+
+// TestSigCacheKeyCoversContent: a check that differs from a cached success
+// in any byte — a flipped signature bit, another signer, another tuple —
+// misses the cache, reaches Ed25519 and is rejected. This is the property
+// that makes caching sound.
+func TestSigCacheKeyCoversContent(t *testing.T) {
+	kg, _, cert, _ := benchVerifierSetup(t, 4)
+	v, ca := countingVerifier(t, kg, cert[0].From)
+	s := cert[1]
+	for round := 0; round < 2; round++ {
+		if err := v.Verify(s.From, s.SigBytes(), s.Sig); err != nil {
+			t.Fatalf("round %d: valid signature rejected: %v", round, err)
 		}
 	}
-	if CertCacheKey(0, d, 3, cert) != base {
-		t.Fatal("cache key not deterministic")
+	if n := ca.verifies.Load(); n != 1 {
+		t.Fatalf("valid signature checked twice reached Ed25519 %d times, want 1", n)
+	}
+	flipped := append([]byte(nil), s.Sig...)
+	flipped[10] ^= 1
+	otherView := s
+	otherView.View++
+	mutations := []struct {
+		name   string
+		signer types.NodeID
+		msg    []byte
+		sig    []byte
+	}{
+		{"flipped sig bit", s.From, s.SigBytes(), flipped},
+		{"different signer", cert[2].From, s.SigBytes(), s.Sig},
+		{"different tuple", s.From, otherView.SigBytes(), s.Sig},
+		{"short signature", s.From, s.SigBytes(), s.Sig[:len(s.Sig)-1]},
+	}
+	for _, m := range mutations {
+		for round := 0; round < 2; round++ { // failures are never cached
+			before := ca.verifies.Load()
+			if err := v.Verify(m.signer, m.msg, m.sig); err == nil {
+				t.Fatalf("%s (round %d): accepted — cache poisoning possible", m.name, round)
+			}
+			if ca.verifies.Load() != before+1 {
+				t.Fatalf("%s (round %d): answered from the cache", m.name, round)
+			}
+		}
+	}
+	if len(v.seen) != 1 {
+		t.Fatalf("cache holds %d entries after one success and only failures, want 1", len(v.seen))
+	}
+	before := ca.verifies.Load()
+	if err := v.Verify(s.From, s.SigBytes(), s.Sig); err != nil || ca.verifies.Load() != before {
+		t.Fatalf("original signature no longer served from the cache (err %v)", err)
 	}
 }
 
-// TestCertCacheBoundedAndSuccessOnly: the cache evicts FIFO at capacity and
-// only records what MarkCertVerified was called for.
-func TestCertCacheBoundedAndSuccessOnly(t *testing.T) {
-	_, v, cert, d := benchVerifierSetup(t, 4)
-	v.SetCertCacheSize(2)
-	k1 := CertCacheKey(0, d, 3, cert)
-	k2 := CertCacheKey(0, d, 4, cert)
-	k3 := CertCacheKey(1, d, 3, cert)
-	if v.CertVerified(k1) {
-		t.Fatal("empty cache reported a hit")
+// TestSigCacheBoundedAndSuccessOnly: the cache evicts FIFO at its constant
+// size (a hit does not refresh an entry), never records a failure, and is
+// off under NopAuth.
+func TestSigCacheBoundedAndSuccessOnly(t *testing.T) {
+	kg := NewKeygen(22)
+	id := types.ReplicaNode(0, 1)
+	kg.Register(id)
+	signer, err := kg.Ring(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	v.MarkCertVerified(k1)
-	v.MarkCertVerified(k2)
-	if !v.CertVerified(k1) || !v.CertVerified(k2) {
-		t.Fatal("cached keys missing")
+	v, ca := countingVerifier(t, kg, id)
+	tuples := make([][]byte, sigCacheSize+1)
+	sigs := make([][]byte, sigCacheSize+1)
+	for i := range tuples {
+		tuples[i] = types.SigBytes(types.MsgCommit, 0, 1, types.SeqNum(i), types.Digest{7}, id)
+		sigs[i] = signer.Sign(tuples[i])
 	}
-	v.MarkCertVerified(k3) // evicts k1
-	if v.CertVerified(k1) {
-		t.Fatal("FIFO eviction did not evict the oldest entry")
+	check := func(i int, wantCached bool) {
+		t.Helper()
+		before := ca.verifies.Load()
+		if err := v.Verify(id, tuples[i], sigs[i]); err != nil {
+			t.Fatalf("entry %d: valid signature rejected: %v", i, err)
+		}
+		if cached := ca.verifies.Load() == before; cached != wantCached {
+			t.Fatalf("entry %d: cached=%v, want %v", i, cached, wantCached)
+		}
 	}
-	if !v.CertVerified(k2) || !v.CertVerified(k3) {
-		t.Fatal("eviction removed the wrong entry")
+	for i := 0; i < sigCacheSize; i++ {
+		check(i, false)
 	}
-	v.SetCertCacheSize(0)
-	v.MarkCertVerified(k1)
-	if v.CertVerified(k1) {
-		t.Fatal("disabled cache stored an entry")
+	check(0, true)
+	check(sigCacheSize, false) // evicts entry 0 despite its recent hit
+	if len(v.seen) != sigCacheSize {
+		t.Fatalf("cache holds %d entries, want %d", len(v.seen), sigCacheSize)
+	}
+	check(1, true)
+	check(sigCacheSize, true)
+	check(0, false) // re-enters, evicting entry 1
+	check(1, false)
+
+	junk := append([]byte(nil), sigs[2]...)
+	junk[0] ^= 1
+	for round := 0; round < 2; round++ {
+		if v.Verify(id, tuples[2], junk) == nil {
+			t.Fatal("junk signature accepted")
+		}
+	}
+	if len(v.seen) != sigCacheSize {
+		t.Fatalf("failure changed the cache size to %d", len(v.seen))
+	}
+
+	nop := NewVerifier(NopAuth{}, 0)
+	if nop.Verify(id, tuples[0], sigs[0]) != nil || nop.seen != nil {
+		t.Fatal("NopAuth verifier cached a check")
 	}
 }

@@ -1,6 +1,9 @@
 package pbft
 
-import "ringbft/internal/types"
+import (
+	"ringbft/internal/crypto"
+	"ringbft/internal/types"
+)
 
 // MakeCheckpoint broadcasts a signed Checkpoint message vouching that this
 // replica's state after executing sequence seq has digest state. Hosts call
@@ -28,7 +31,7 @@ func (e *Engine) onCheckpoint(m *types.Message) {
 	if m.Seq <= e.stableSeq {
 		return
 	}
-	if err := e.auth.Verify(m.From, m.SigBytes(), m.Sig); err != nil {
+	if crypto.VerifyMessageSig(e.verifier, m) != nil {
 		return
 	}
 	e.recordCheckpoint(m.From, m.Seq, m.Digest, m.Sig)

@@ -84,8 +84,9 @@ type Callbacks struct {
 }
 
 // commitVote is one replica's signed Commit for an entry, tagged with the
-// digest it voted for.
+// view and digest it voted for.
 type commitVote struct {
+	view   types.View
 	digest types.Digest
 	sig    []byte
 }
@@ -167,7 +168,7 @@ type Options struct {
 	ViewTimeout time.Duration // new-view escalation timeout (default 250ms)
 	Clock       func() time.Time
 	// Verifier is the host's batched signature verifier; sharing the host's
-	// instance shares its worker pool and verified-certificate cache. Nil
+	// instance shares its worker pool and verified-signature cache. Nil
 	// constructs a private serial verifier.
 	Verifier *crypto.Verifier
 	// OnPhase, when set, observes lifecycle transitions: PrePrepare
@@ -533,7 +534,7 @@ func (e *Engine) maybePrepared(seq types.SeqNum, ent *entry) {
 		View: ent.view, Seq: seq, Digest: ent.digest,
 	}
 	sig := e.auth.Sign(c.SigBytes())
-	ent.commits[e.self] = commitVote{digest: ent.digest, sig: sig}
+	ent.commits[e.self] = commitVote{view: ent.view, digest: ent.digest, sig: sig}
 	c.Sig = sig
 	for _, p := range e.peers {
 		if p == e.self {
@@ -549,13 +550,25 @@ func (e *Engine) onCommit(m *types.Message) {
 	if !e.inWindow(m.Seq) {
 		return
 	}
-	// Commits are accepted even during view change for newer views? No:
-	// PBFT discards them; retransmission and checkpoints recover.
+	// PBFT discards Commits during a view change and for any view but the
+	// current one; retransmission and checkpoints recover.
 	if e.inViewChange || m.View != e.view {
 		return
 	}
-	var sb [types.SigBytesLen]byte
-	if err := e.auth.Verify(m.From, m.AppendSigBytes(sb[:0]), m.Sig); err != nil {
+	// A Commit from a sender whose vote is already recorded, or from a
+	// straggler already helped in this view, has no effect, so it is dropped
+	// before the signature check: a peer cannot force Ed25519 work with
+	// repeated or junk Commits.
+	if ent, ok := e.log[m.Seq]; ok {
+		if ent.committed {
+			if v, helped := ent.helped[m.From]; helped && v >= e.view {
+				return
+			}
+		} else if _, dup := ent.commits[m.From]; dup {
+			return
+		}
+	}
+	if crypto.VerifyMessageSig(e.verifier, m) != nil {
 		return
 	}
 	ent := e.getEntry(m.Seq)
@@ -568,10 +581,7 @@ func (e *Engine) onCommit(m *types.Message) {
 		}
 		return
 	}
-	if _, dup := ent.commits[m.From]; dup {
-		return
-	}
-	ent.commits[m.From] = commitVote{digest: m.Digest, sig: m.Sig}
+	ent.commits[m.From] = commitVote{view: m.View, digest: m.Digest, sig: m.Sig}
 	e.maybeCommitted(m.Seq, ent)
 }
 
@@ -585,7 +595,9 @@ func (e *Engine) onCommit(m *types.Message) {
 //
 // At most one reply per (peer, view): a leftover Commit arriving at a
 // committed replica would otherwise bounce replies between two committed
-// replicas forever.
+// replicas forever. In the view this replica voted in, the reply carries
+// the stored vote's signature: Ed25519 is deterministic, so it is the same
+// bytes a fresh signature would be.
 func (e *Engine) replyCommit(to types.NodeID, seq types.SeqNum, ent *entry) {
 	if ent.helped == nil {
 		ent.helped = make(map[types.NodeID]types.View)
@@ -598,7 +610,11 @@ func (e *Engine) replyCommit(to types.NodeID, seq types.SeqNum, ent *entry) {
 		Type: types.MsgCommit, From: e.self, Shard: e.shard,
 		View: e.view, Seq: seq, Digest: ent.digest,
 	}
-	c.Sig = e.auth.Sign(c.SigBytes())
+	if own, ok := ent.commits[e.self]; ok && own.view == e.view && own.digest == ent.digest {
+		c.Sig = own.sig
+	} else {
+		c.Sig = e.auth.Sign(c.SigBytes())
+	}
 	e.cb.Send(to, c)
 }
 
@@ -654,24 +670,14 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 // Any replica of any shard can run this check given the public keys — this
 // is why cross-shard messages use DS, not MACs (non-repudiation, Section 3).
 //
-// The fast path: a certificate whose full content already verified on this
-// node is accepted from the verifier's bounded cache without re-checking nf
-// Ed25519 signatures, and on a cache miss the signatures are checked on the
-// verifier's worker pool (serially when VerifyWorkers <= 1). Accept/reject
-// decisions match the serial path byte for byte: the cache key covers every
-// entry's tuple and signature plus the expected digest and quorum, and only
-// full successes are ever cached.
+// The signatures are checked through the verifier: a signature that
+// already verified on this node (the same Commit carried by another
+// Forward copy, or received directly) costs no Ed25519 work, and misses run
+// on the verifier's worker pool (serially when VerifyWorkers <= 1).
+// Accept/reject decisions match checking every signature directly.
 func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, cert []types.Signed, quorum int) error {
 	if len(cert) < quorum {
 		return fmt.Errorf("pbft: certificate has %d signatures, need %d", len(cert), quorum)
-	}
-	useCache := v.CertCacheEnabled()
-	var key crypto.CertKey
-	if useCache {
-		key = crypto.CertCacheKey(shard, digest, quorum, cert)
-		if v.CertVerified(key) {
-			return nil
-		}
 	}
 
 	// Structural pass (no crypto): keep entries with the right type, shard,
@@ -721,9 +727,6 @@ func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, ce
 		checked = true
 		valid := v.VerifyQuorum(g.entries, quorum)
 		if valid >= quorum {
-			if useCache {
-				v.MarkCertVerified(key)
-			}
 			return nil
 		}
 		if valid > bestValid {

@@ -418,3 +418,53 @@ func TestViewChangeAfterCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestReplyCommitReusesVoteSignature: a straggler catch-up Commit sent in
+// the view the replica voted in carries the stored vote's signature, which
+// is byte-identical to a fresh signature of the tuple; after a view change
+// the reply is signed for the new view.
+func TestReplyCommitReusesVoteSignature(t *testing.T) {
+	h := newHarness(t, 4)
+	if _, err := h.engines[0].Propose(batchOf(1)); err != nil {
+		t.Fatal(err)
+	}
+	h.pump()
+	e := h.engines[1]
+	ent := e.log[1]
+	if ent == nil || !ent.committed {
+		t.Fatal("replica 1 did not commit seq 1")
+	}
+	reply := func(to int) *types.Message {
+		t.Helper()
+		h.queue = nil
+		delete(ent.helped, h.engines[to].self) // the commit round may have helped it already
+		e.replyCommit(h.engines[to].self, 1, ent)
+		if len(h.queue) != 1 || h.queue[0].m.Type != types.MsgCommit {
+			t.Fatalf("replyCommit sent %d messages, want one Commit", len(h.queue))
+		}
+		c := h.queue[0].m
+		h.queue = nil
+		if c.View != e.View() || c.Digest != ent.digest {
+			t.Fatalf("reply is for view %d digest %x, want view %d digest %x", c.View, c.Digest, e.View(), ent.digest)
+		}
+		if fresh := crypto.SignMessage(e.auth, c); string(c.Sig) != string(fresh) {
+			t.Fatal("reply signature differs from a fresh signature of its tuple")
+		}
+		return c
+	}
+
+	if c := reply(3); string(c.Sig) != string(ent.commits[e.self].sig) {
+		t.Fatal("same-view reply does not carry the stored vote's signature")
+	}
+
+	for i := 1; i < 4; i++ {
+		h.engines[i].StartViewChange(1)
+	}
+	h.pump()
+	if e.View() != 1 || e.log[1] != ent || !ent.committed {
+		t.Fatal("replica 1 did not move to view 1 with seq 1 still committed in its log")
+	}
+	if c := reply(3); string(c.Sig) == string(ent.commits[e.self].sig) {
+		t.Fatal("reply after a view change reuses the old view's signature")
+	}
+}

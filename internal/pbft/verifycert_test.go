@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"ringbft/internal/crypto"
@@ -32,13 +33,25 @@ func certFixture(t testing.TB, n int) (*crypto.Keygen, []types.Signed, types.Dig
 	return kg, cert, d
 }
 
-func fixtureVerifier(t testing.TB, kg *crypto.Keygen, workers int) *crypto.Verifier {
+func fixtureRing(t testing.TB, kg *crypto.Keygen) *crypto.KeyRing {
 	t.Helper()
 	ring, err := kg.Ring(types.ReplicaNode(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return crypto.NewVerifier(ring, workers)
+	return ring
+}
+
+// countingAuth counts the signature checks that reach the wrapped
+// Authenticator: the Ed25519 work the verifier's cache did not absorb.
+type countingAuth struct {
+	crypto.Authenticator
+	verifies atomic.Int64
+}
+
+func (c *countingAuth) Verify(signer types.NodeID, msg, sig []byte) error {
+	c.verifies.Add(1)
+	return c.Authenticator.Verify(signer, msg, sig)
 }
 
 // TestVerifyCertTamperTable runs the same adversarial table against the
@@ -104,11 +117,11 @@ func TestVerifyCertTamperTable(t *testing.T) {
 			return c
 		}, d, false}, // only 2 entries left in the (1,7) group
 	}
+	ring := fixtureRing(t, kg)
 	for _, workers := range []int{0, 4} {
-		v := fixtureVerifier(t, kg, workers)
-		v.SetCertCacheSize(0) // isolate verification from caching
 		for _, tc := range cases {
-			err := VerifyCert(v, 0, tc.dig, tc.cert(), 3)
+			// A fresh verifier per case isolates verification from caching.
+			err := VerifyCert(crypto.NewVerifier(ring, workers), 0, tc.dig, tc.cert(), 3)
 			if tc.ok && err != nil {
 				t.Errorf("workers=%d %s: valid cert rejected: %v", workers, tc.name, err)
 			}
@@ -124,56 +137,61 @@ func TestVerifyCertTamperTable(t *testing.T) {
 // rejected — and failures must never populate the cache.
 func TestVerifyCertCachePoisoning(t *testing.T) {
 	kg, cert, d := certFixture(t, 4)
-	v := fixtureVerifier(t, kg, 0)
-
-	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
-		t.Fatalf("valid cert rejected: %v", err)
-	}
-	if hits := v.CertCacheHits(); hits != 0 {
-		t.Fatalf("first verification counted %d cache hits", hits)
-	}
-	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
-		t.Fatalf("re-delivered cert rejected: %v", err)
-	}
-	if hits := v.CertCacheHits(); hits != 1 {
-		t.Fatalf("re-delivery did not hit the cache (hits=%d)", hits)
+	ca := &countingAuth{Authenticator: fixtureRing(t, kg)}
+	v := crypto.NewVerifier(ca, 0)
+	verify := func(c []types.Signed) (error, int64) {
+		before := ca.verifies.Load()
+		err := VerifyCert(v, 0, d, c, 3)
+		return err, ca.verifies.Load() - before
 	}
 
-	// Same slot, tampered content: must miss the cache and be rejected.
+	if err, n := verify(cert); err != nil || n != 3 {
+		t.Fatalf("valid cert: err %v after %d Ed25519 checks, want nil after 3", err, n)
+	}
+	if err, n := verify(cert); err != nil || n != 0 {
+		t.Fatalf("re-delivered cert: err %v after %d Ed25519 checks, want nil from the cache", err, n)
+	}
+
+	// Same slot, tampered content: every entry misses the cache and the
+	// certificate is rejected, on every re-presentation.
 	poisoned := make([]types.Signed, len(cert))
 	copy(poisoned, cert)
 	for i := range poisoned {
 		poisoned[i].Sig = append([]byte(nil), cert[i].Sig...)
 		poisoned[i].Sig[5] ^= 1
 	}
-	if err := VerifyCert(v, 0, d, poisoned, 3); err == nil {
-		t.Fatal("cache poisoning: tampered cert for a cached slot accepted")
+	for round := 0; round < 2; round++ {
+		if err, n := verify(poisoned); err == nil || n != 4 {
+			t.Fatalf("round %d: tampered cert: err %v after %d Ed25519 checks, want rejection after 4", round, err, n)
+		}
 	}
-	// The failure must not be cached as success (nor flip the cached entry).
-	if err := VerifyCert(v, 0, d, poisoned, 3); err == nil {
-		t.Fatal("tampered cert accepted on retry")
+	// Valid signatures presented under other signers miss the cache too.
+	swapped := make([]types.Signed, len(cert))
+	copy(swapped, cert)
+	for i := range swapped {
+		swapped[i].From = cert[(i+1)%len(cert)].From
 	}
-	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
-		t.Fatalf("original cert no longer accepted after poisoning attempt: %v", err)
+	if err, n := verify(swapped); err == nil || n != 4 {
+		t.Fatalf("signer-swapped cert: err %v after %d Ed25519 checks, want rejection after 4", err, n)
 	}
-
-	// A cert that fails must never be served from cache even when the exact
-	// same bytes are re-presented.
-	before := v.CertCacheHits()
-	if err := VerifyCert(v, 0, d, poisoned, 3); err == nil {
-		t.Fatal("tampered cert accepted")
+	// One tampered entry among cached ones: only it and the fourth
+	// signature, which the first check stopped short of, reach Ed25519.
+	mixed := make([]types.Signed, len(cert))
+	copy(mixed, cert)
+	mixed[0] = poisoned[0]
+	if err, n := verify(mixed); err != nil || n != 2 {
+		t.Fatalf("mixed cert: err %v after %d Ed25519 checks, want nil after 2", err, n)
 	}
-	if v.CertCacheHits() != before+1 && v.CertCacheHits() != before {
-		// The poisoned key must not be cached at all; any hit for it means
-		// a failure was recorded as success.
-		t.Fatal("failure entered the verified-cert cache")
+	if err, n := verify(cert); err != nil || n != 0 {
+		t.Fatalf("original cert after poisoning attempts: err %v after %d Ed25519 checks, want nil from the cache", err, n)
 	}
 }
 
 // BenchmarkVerifyCert measures commit-certificate verification at quorum
-// sizes nf = 2, 4, 8 in three modes: serial (the seed path), batched on a
-// 4-worker pool, and a verified-cache hit. Run with -benchmem; reference
-// numbers live in internal/crypto/bench_baseline.json.
+// sizes nf = 2, 4, 8 in three modes: serial and batched on a 4-worker pool,
+// both on a fresh verifier per iteration so every signature costs real
+// Ed25519 work, and every signature served from the verified-signature
+// cache. Run with -benchmem.
 func BenchmarkVerifyCert(b *testing.B) {
 	for _, nf := range []int{2, 4, 8} {
 		kg, cert, d := certFixture(b, nf)
@@ -183,15 +201,17 @@ func BenchmarkVerifyCert(b *testing.B) {
 			cache   bool
 		}{{"serial", 0, false}, {"workers4", 4, false}, {"cachehit", 0, true}} {
 			b.Run(fmt.Sprintf("nf=%d/%s", nf, mode.name), func(b *testing.B) {
-				v := fixtureVerifier(b, kg, mode.workers)
-				if !mode.cache {
-					v.SetCertCacheSize(0)
-				} else if err := VerifyCert(v, 0, d, cert, nf); err != nil {
+				ring := fixtureRing(b, kg)
+				v := crypto.NewVerifier(ring, mode.workers)
+				if err := VerifyCert(v, 0, d, cert, nf); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if !mode.cache {
+						v = crypto.NewVerifier(ring, mode.workers)
+					}
 					if err := VerifyCert(v, 0, d, cert, nf); err != nil {
 						b.Fatal(err)
 					}

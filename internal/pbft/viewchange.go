@@ -3,6 +3,7 @@ package pbft
 import (
 	"time"
 
+	"ringbft/internal/crypto"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
 )
@@ -60,7 +61,7 @@ func (e *Engine) onViewChange(m *types.Message) {
 	if m.View <= e.view {
 		return
 	}
-	if err := e.auth.Verify(m.From, m.SigBytes(), m.Sig); err != nil {
+	if crypto.VerifyMessageSig(e.verifier, m) != nil {
 		return
 	}
 	e.recordViewChange(m.From, m)
@@ -166,7 +167,7 @@ func (e *Engine) onNewView(m *types.Message) {
 	if m.View <= e.view || m.From != e.Primary(m.View) {
 		return
 	}
-	if err := e.auth.Verify(m.From, m.SigBytes(), m.Sig); err != nil {
+	if crypto.VerifyMessageSig(e.verifier, m) != nil {
 		return
 	}
 	if len(m.ViewMsgs) < e.nf {

@@ -96,7 +96,7 @@ func (r *Replica) onForward(m *types.Message) {
 	if m.From.Kind != types.KindReplica || m.From.Shard != b.PrevInRing(r.shard) || m.Shard != m.From.Shard {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.verifier, m) != nil {
 		return
 	}
 	// Detection before the certificate check: the Forward signature alone
@@ -292,7 +292,7 @@ func (r *Replica) onExecute(m *types.Message) {
 	if m.From.Kind != types.KindReplica || m.From.Shard != cs.batch.PrevInRing(r.shard) {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.verifier, m) != nil {
 		return
 	}
 	if _, dup := cs.execFrom[m.From]; dup {
@@ -360,7 +360,7 @@ func (r *Replica) onRemoteView(m *types.Message) {
 	if m.From.Kind != types.KindReplica || m.From.Shard != next {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.verifier, m) != nil {
 		return
 	}
 	cs := r.cst(d)

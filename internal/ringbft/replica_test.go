@@ -28,6 +28,8 @@ type cluster struct {
 	n       int
 	records int
 	fs      *wal.MemFS // nil = in-memory-only replicas
+	// wrapAuth, when set, wraps each replica's key ring at spawn time.
+	wrapAuth func(id types.NodeID, ring crypto.Authenticator) crypto.Authenticator
 }
 
 type routed struct {
@@ -101,9 +103,13 @@ func (c *cluster) spawn(id types.NodeID) *Replica {
 	if err != nil {
 		c.t.Fatal(err)
 	}
+	var auth crypto.Authenticator = ring
+	if c.wrapAuth != nil {
+		auth = c.wrapAuth(id, ring)
+	}
 	opts := Options{
 		Config: c.cfg, Shard: id.Shard, Self: id, Peers: peers,
-		Auth: ring,
+		Auth: auth,
 		Send: func(from types.NodeID) Sender {
 			return func(to types.NodeID, m *types.Message) {
 				c.queue = append(c.queue, routed{from, to, m})

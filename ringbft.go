@@ -127,9 +127,8 @@ type ClusterConfig struct {
 
 	// VerifyWorkers enables the batched certificate verifier on every
 	// replica (internal/crypto): the nf Ed25519 signatures of a cross-shard
-	// commit certificate are checked concurrently, with a bounded cache of
-	// already-verified certificates. Accept/reject decisions are identical
-	// to serial verification. 0 or 1 = serial.
+	// commit certificate are checked concurrently. Accept/reject decisions
+	// are identical to serial verification. 0 or 1 = serial.
 	VerifyWorkers int
 
 	// LatencyScale > 0 runs over the 15-region WAN model compressed by the
