@@ -1,6 +1,7 @@
 # Tier-1 verify is `make verify` (fmt-check + build + vet + lint + test +
-# race-checked crypto, pbft, and wal — the pooled/cached fast paths and the
-# durability layer are the concurrency-sensitive code — plus race-checked
+# race-checked crypto, pbft, wal, and store — the pooled/cached fast paths,
+# the durability layer, and the store that clients read while the replica
+# loop writes are the concurrency-sensitive code — plus race-checked
 # tcpnet and the loopback-TCP scenario suite, whose writer goroutines are
 # the transport's concurrency surface). `make lint` runs the protocol-
 # invariant analyzer suite (internal/analysis via cmd/ringbft-vet);
@@ -71,7 +72,7 @@ docs-check:
 	sh scripts/docs-check.sh
 
 bench:
-	$(GO) test -run XXX -bench . -benchtime 300ms ./internal/sched/ ./internal/store/
+	$(GO) test -run XXX -bench . -benchtime 300ms ./internal/store/
 	$(GO) test -run XXX -bench . -benchtime 200ms ./internal/pbft/ ./internal/crypto/ ./internal/ledger/ ./internal/workload/ ./internal/wal/ ./internal/tcpnet/
 
 bench-crypto:
@@ -114,7 +115,7 @@ metrics-smoke:
 	sh scripts/metrics-smoke.sh
 
 race-crypto:
-	$(GO) test -race ./internal/crypto/... ./internal/pbft/... ./internal/wal/...
+	$(GO) test -race ./internal/crypto/... ./internal/pbft/... ./internal/wal/... ./internal/store/...
 
 # The transport's writer goroutines and the loopback-TCP cluster scenarios
 # (real sockets under the full replica stack) are the wire layer's

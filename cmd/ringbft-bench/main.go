@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		figure  = flag.String("figure", "all", "figure to regenerate: all, fig1, fig8-shards, fig8-replicas, fig8-cross, fig8-batch, fig8-involved, fig8-clients, fig9, fig9-recovery, fig10, ablation-linear, ablation-crypto, ablation-exec, custom")
+		figure  = flag.String("figure", "all", "figure to regenerate: all, fig1, fig8-shards, fig8-replicas, fig8-cross, fig8-batch, fig8-involved, fig8-clients, fig9, fig9-recovery, fig10, ablation-linear, ablation-crypto, custom")
 		profile = flag.String("profile", "quick", "experiment scale: quick or full")
 
 		// custom run flags
@@ -43,8 +43,6 @@ func main() {
 		cross    = flag.Float64("cross", 0.3, "custom: cross-shard fraction [0,1]")
 		involved = flag.Int("involved", 0, "custom: involved shards per cst (0 = all)")
 		batch    = flag.Int("batch", 50, "custom: batch size")
-		workers  = flag.Int("execworkers", 0, "custom: parallel execution workers per replica (0 = sequential)")
-		vworkers = flag.Int("verifyworkers", 0, "custom: batched signature-verification workers per replica (0 = serial)")
 		clients  = flag.Int("clients", 8, "custom: concurrent clients")
 		duration = flag.Duration("duration", time.Second, "custom: measurement window")
 		latScale = flag.Float64("latscale", 0.05, "custom: WAN latency compression factor")
@@ -64,7 +62,7 @@ func main() {
 		runOpenLoop(openLoopArgs{
 			protocol: *protocol, shards: *shards, replicas: *replicas,
 			cross: *cross, involved: *involved, batch: *batch,
-			workers: *workers, vworkers: *vworkers, duration: *duration,
+			duration: *duration,
 			latScale: *latScale, nocrypto: *nocrypto,
 			rates: *rates, seed: *seed, out: *outPath,
 			pipeline: *pipeline, clientBatch: *cbatch,
@@ -93,7 +91,6 @@ func main() {
 		{"fig10", harness.Fig10},
 		{"ablation-linear", harness.AblationLinearForward},
 		{"ablation-crypto", harness.AblationCrypto},
-		{"ablation-exec", harness.AblationExecWorkers},
 	}
 
 	switch *figure {
@@ -105,8 +102,6 @@ func main() {
 			CrossShardPct:    *cross,
 			InvolvedShards:   *involved,
 			BatchSize:        *batch,
-			ExecWorkers:      *workers,
-			VerifyWorkers:    *vworkers,
 			Clients:          *clients,
 			Duration:         *duration,
 			LatencyScale:     *latScale,
@@ -154,19 +149,18 @@ func main() {
 }
 
 type openLoopArgs struct {
-	protocol          string
-	shards, replicas  int
-	cross             float64
-	involved, batch   int
-	workers, vworkers int
-	duration          time.Duration
-	latScale          float64
-	nocrypto          bool
-	rates             string
-	seed              int64
-	out               string
-	pipeline          int
-	clientBatch       int
+	protocol         string
+	shards, replicas int
+	cross            float64
+	involved, batch  int
+	duration         time.Duration
+	latScale         float64
+	nocrypto         bool
+	rates            string
+	seed             int64
+	out              string
+	pipeline         int
+	clientBatch      int
 }
 
 func runOpenLoop(a openLoopArgs) {
@@ -185,8 +179,6 @@ func runOpenLoop(a openLoopArgs) {
 		CrossShardPct:    a.cross,
 		InvolvedShards:   a.involved,
 		BatchSize:        a.batch,
-		ExecWorkers:      a.workers,
-		VerifyWorkers:    a.vworkers,
 		Duration:         a.duration,
 		LatencyScale:     a.latScale,
 		NoCrypto:         a.nocrypto,

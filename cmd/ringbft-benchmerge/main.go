@@ -49,7 +49,6 @@ type Doc struct {
 // the name prefix the flat entries use.
 var baselines = map[string]string{
 	"crypto": "internal/crypto/bench_baseline.json",
-	"sched":  "internal/sched/bench_baseline.json",
 	"tcpnet": "internal/tcpnet/bench_baseline.json",
 	"wal":    "internal/wal/bench_baseline.json",
 }

@@ -137,7 +137,7 @@ func NewCommittee(opts CommitteeOptions) *Committee {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers)
+	verifier := crypto.NewVerifier(opts.Auth)
 	c := &Committee{
 		cfg:        opts.Config,
 		self:       opts.Self,
@@ -444,7 +444,7 @@ func (c *Committee) onVote(m *types.Message) {
 	if m.From.Kind != types.KindReplica {
 		return
 	}
-	if crypto.VerifyMessageSig(c.auth, m) != nil {
+	if crypto.VerifyMessageSig(c.verifier, m) != nil {
 		return
 	}
 	cst, ok := c.csts[m.Digest]

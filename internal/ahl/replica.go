@@ -11,7 +11,6 @@ import (
 	"ringbft/internal/ledger"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
-	"ringbft/internal/sched"
 	"ringbft/internal/store"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
@@ -65,7 +64,6 @@ type Replica struct {
 	tracker *pbft.CheckpointTracker
 	kv      *store.KV
 	chain   *ledger.Chain
-	exec    *sched.Executor
 
 	execNext types.SeqNum
 	entries  map[types.SeqNum]*entry
@@ -123,7 +121,7 @@ func NewReplica(opts ReplicaOptions) *Replica {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers)
+	verifier := crypto.NewVerifier(opts.Auth)
 	ev := opts.Evidence
 	if ev == nil {
 		ev = evidence.NewMemory()
@@ -140,7 +138,6 @@ func NewReplica(opts ReplicaOptions) *Replica {
 		clock:     opts.Clock,
 		kv:        store.NewKV(),
 		chain:     ledger.NewChain(opts.Shard),
-		exec:      sched.New(opts.Config.ExecWorkers),
 		entries:   make(map[types.SeqNum]*entry),
 		csts:      make(map[types.Digest]*replicaCst),
 		executed:  make(map[types.Digest][]types.Value),
@@ -520,7 +517,7 @@ func (r *Replica) onPrepare(m *types.Message) {
 	if d != m.Digest || m.From.Kind != types.KindCommittee {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.verifier, m) != nil {
 		return
 	}
 	if err := pbft.VerifyCert(r.verifier, types.CommitteeShard, d, m.Cert, r.cfg.NF()); err != nil {
@@ -603,7 +600,7 @@ func (r *Replica) onDecision(m *types.Message) {
 	if m.From.Kind != types.KindCommittee {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.verifier, m) != nil {
 		return
 	}
 	cs := r.cst(m.Digest)
@@ -638,9 +635,7 @@ func (r *Replica) drainExec() {
 			continue
 		}
 		d := b.Digest()
-		results, _ := r.exec.ExecuteBatch(b.Txns, r.shard, r.cfg.Shards, func(i int) (types.Value, error) {
-			return r.kv.ExecuteTxnPartial(&b.Txns[i], r.shard, r.cfg.Shards), nil
-		})
+		results := r.kv.ExecuteBatchPartial(b.Txns, r.shard, r.cfg.Shards)
 		r.executed[d] = results
 		r.obs.addExecuted(len(b.Txns))
 		r.obs.observe(r.clock(), r.shard, uint64(e.seq), trace.PhaseExecute)

@@ -4,7 +4,6 @@ import (
 	"crypto/ed25519"
 	"encoding/binary"
 	"sync"
-	"sync/atomic"
 
 	"ringbft/internal/types"
 )
@@ -26,14 +25,10 @@ const sigCacheSize = 128
 type sigKey [ed25519.SignatureSize + 1 + 2*8 + types.SigBytesLen]byte
 
 // Verifier wraps an Authenticator with the crypto fast path for signature
-// checking (Section 3: authentication dominates replica CPU):
-//
-//   - a bounded cache of signature checks that already succeeded on this
-//     node, so a Commit signature seen again inside a Forward certificate,
-//     or a Forward re-delivered by a peer, costs no Ed25519 work, and
-//   - a bounded worker pool that verifies the nf Ed25519 signatures of a
-//     commit certificate or new-view justification concurrently
-//     (VerifyWorkers knob; 0 or 1 = serial).
+// checking (Section 3: authentication dominates replica CPU): a bounded
+// cache of signature checks that already succeeded on this node, so a
+// Commit signature seen again inside a Forward certificate, or a Forward
+// re-delivered by a peer, costs no Ed25519 work.
 //
 // Accept/reject decisions are identical to calling the wrapped
 // Authenticator directly: only successes are cached, and the key is the
@@ -41,27 +36,17 @@ type sigKey [ed25519.SignatureSize + 1 + 2*8 + types.SigBytesLen]byte
 // success. Safe for concurrent use.
 type Verifier struct {
 	Authenticator
-	workers int
-	sem     chan struct{} // bounds in-flight verification workers
-	cache   bool          // false under NopAuth, whose checks are free
+	cache bool // false under NopAuth, whose checks are free
 
 	mu   sync.Mutex
 	seen []sigKey // FIFO ring of successes, grown lazily to sigCacheSize
 	next int      // slot the next success is written to
 }
 
-// NewVerifier wraps auth with a batch verifier of the given worker-pool
-// size (0 or 1 = serial) and a verified-signature cache.
-func NewVerifier(auth Authenticator, workers int) *Verifier {
-	if workers < 0 {
-		workers = 0
-	}
+// NewVerifier wraps auth with a verified-signature cache.
+func NewVerifier(auth Authenticator) *Verifier {
 	_, nop := auth.(NopAuth)
-	v := &Verifier{Authenticator: auth, workers: workers, cache: !nop}
-	if workers > 1 {
-		v.sem = make(chan struct{}, workers)
-	}
-	return v
+	return &Verifier{Authenticator: auth, cache: !nop}
 }
 
 // Verify checks signer's signature over msg. A check whose exact bytes
@@ -113,54 +98,17 @@ func (v *Verifier) cached(k *sigKey) bool {
 // VerifyQuorum checks the signatures of entries and returns how many are
 // valid, early-exiting at quorum. Callers are responsible for structural
 // checks (tuple consistency, sender dedup, membership); this routine only
-// spends the Ed25519 work, through the cache — serially, or on the worker
-// pool when both the pool and the batch are big enough to pay for the
-// goroutine handoff.
+// spends the Ed25519 work, through the cache.
 func (v *Verifier) VerifyQuorum(entries []*types.Signed, quorum int) int {
-	if v.workers <= 1 || len(entries) < 2 {
-		valid := 0
-		var sb [types.SigBytesLen]byte
-		for _, e := range entries {
-			if v.Verify(e.From, e.AppendSigBytes(sb[:0]), e.Sig) == nil {
-				valid++
-				if valid >= quorum {
-					break
-				}
+	valid := 0
+	var sb [types.SigBytesLen]byte
+	for _, e := range entries {
+		if v.Verify(e.From, e.AppendSigBytes(sb[:0]), e.Sig) == nil {
+			valid++
+			if valid >= quorum {
+				break
 			}
 		}
-		return valid
 	}
-	workers := v.workers
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	var (
-		wg    sync.WaitGroup
-		next  atomic.Int64
-		valid atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		v.sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-v.sem; wg.Done() }()
-			var sb [types.SigBytesLen]byte
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(entries) || valid.Load() >= int64(quorum) {
-					return
-				}
-				e := entries[i]
-				if v.Verify(e.From, e.AppendSigBytes(sb[:0]), e.Sig) == nil {
-					valid.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	n := int(valid.Load())
-	if n > len(entries) {
-		n = len(entries)
-	}
-	return n
+	return valid
 }

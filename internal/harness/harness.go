@@ -69,14 +69,6 @@ type Config struct {
 	// requests it can visibly coalesce; the default keeps client requests
 	// and consensus batches one-to-one, exactly the pre-pipeline shape.
 	ClientBatch int
-	// ExecWorkers sizes the dependency-aware parallel batch executor on
-	// every replica (internal/sched); 0 = sequential execution. A/B this
-	// knob to measure intra-batch execution parallelism.
-	ExecWorkers int
-	// VerifyWorkers sizes the batched signature verifier on every replica
-	// (crypto.Verifier): commit-certificate and new-view signatures are
-	// checked concurrently on this many workers. 0 = serial verification.
-	VerifyWorkers int
 
 	CrossShardPct  float64 // fraction of cross-shard batches
 	InvolvedShards int     // shards per cst
@@ -469,8 +461,6 @@ func typesConfig(cfg Config) types.Config {
 	tc := types.DefaultConfig(cfg.Shards, cfg.ReplicasPerShard)
 	tc.BatchSize = cfg.BatchSize
 	tc.PipelineDepth = cfg.PipelineDepth
-	tc.ExecWorkers = cfg.ExecWorkers
-	tc.VerifyWorkers = cfg.VerifyWorkers
 	tc.LocalTimeout = cfg.LocalTimeout
 	tc.RemoteTimeout = cfg.RemoteTimeout
 	tc.TransmitTimeout = cfg.TransmitTimeout

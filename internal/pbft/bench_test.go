@@ -60,7 +60,7 @@ func BenchmarkVerifyCommitCert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh verifier per iteration measures real verification, not
 		// hits in the cache the engine filled while committing.
-		if err := VerifyCert(crypto.NewVerifier(auth, 0), 0, digest, cert, 3); err != nil {
+		if err := VerifyCert(crypto.NewVerifier(auth), 0, digest, cert, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

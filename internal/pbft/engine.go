@@ -167,9 +167,9 @@ type Options struct {
 	Window      types.SeqNum  // log watermark window (default 512)
 	ViewTimeout time.Duration // new-view escalation timeout (default 250ms)
 	Clock       func() time.Time
-	// Verifier is the host's batched signature verifier; sharing the host's
-	// instance shares its worker pool and verified-signature cache. Nil
-	// constructs a private serial verifier.
+	// Verifier is the host's signature verifier; sharing the host's
+	// instance shares its verified-signature cache. Nil constructs a
+	// private verifier.
 	Verifier *crypto.Verifier
 	// OnPhase, when set, observes lifecycle transitions: PrePrepare
 	// acceptance, the prepared and committed predicates, and view-change
@@ -191,7 +191,7 @@ func New(shard types.ShardID, self types.NodeID, peers []types.NodeID, auth cryp
 		opts.Clock = time.Now
 	}
 	if opts.Verifier == nil {
-		opts.Verifier = crypto.NewVerifier(auth, 0)
+		opts.Verifier = crypto.NewVerifier(auth)
 	} else if opts.Verifier.Authenticator != auth {
 		// Certificate checks and per-message checks must share key material;
 		// a verifier wrapping different keys would split-brain the engine.
@@ -672,9 +672,8 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 //
 // The signatures are checked through the verifier: a signature that
 // already verified on this node (the same Commit carried by another
-// Forward copy, or received directly) costs no Ed25519 work, and misses run
-// on the verifier's worker pool (serially when VerifyWorkers <= 1).
-// Accept/reject decisions match checking every signature directly.
+// Forward copy, or received directly) costs no Ed25519 work. Accept/reject
+// decisions match checking every signature directly.
 func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, cert []types.Signed, quorum int) error {
 	if len(cert) < quorum {
 		return fmt.Errorf("pbft: certificate has %d signatures, need %d", len(cert), quorum)

@@ -54,9 +54,9 @@ func (c *countingAuth) Verify(signer types.NodeID, msg, sig []byte) error {
 	return c.Authenticator.Verify(signer, msg, sig)
 }
 
-// TestVerifyCertTamperTable runs the same adversarial table against the
-// serial and the batched/pooled verifier: every tampered certificate must be
-// rejected by both, and the valid one accepted by both.
+// TestVerifyCertTamperTable runs an adversarial table against the
+// verifier: every tampered certificate must be rejected, and the valid one
+// accepted.
 func TestVerifyCertTamperTable(t *testing.T) {
 	kg, cert, d := certFixture(t, 4)
 	copyCert := func() []types.Signed {
@@ -118,16 +118,14 @@ func TestVerifyCertTamperTable(t *testing.T) {
 		}, d, false}, // only 2 entries left in the (1,7) group
 	}
 	ring := fixtureRing(t, kg)
-	for _, workers := range []int{0, 4} {
-		for _, tc := range cases {
-			// A fresh verifier per case isolates verification from caching.
-			err := VerifyCert(crypto.NewVerifier(ring, workers), 0, tc.dig, tc.cert(), 3)
-			if tc.ok && err != nil {
-				t.Errorf("workers=%d %s: valid cert rejected: %v", workers, tc.name, err)
-			}
-			if !tc.ok && err == nil {
-				t.Errorf("workers=%d %s: tampered cert accepted", workers, tc.name)
-			}
+	for _, tc := range cases {
+		// A fresh verifier per case isolates verification from caching.
+		err := VerifyCert(crypto.NewVerifier(ring), 0, tc.dig, tc.cert(), 3)
+		if tc.ok && err != nil {
+			t.Errorf("%s: valid cert rejected: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: tampered cert accepted", tc.name)
 		}
 	}
 }
@@ -138,7 +136,7 @@ func TestVerifyCertTamperTable(t *testing.T) {
 func TestVerifyCertCachePoisoning(t *testing.T) {
 	kg, cert, d := certFixture(t, 4)
 	ca := &countingAuth{Authenticator: fixtureRing(t, kg)}
-	v := crypto.NewVerifier(ca, 0)
+	v := crypto.NewVerifier(ca)
 	verify := func(c []types.Signed) (error, int64) {
 		before := ca.verifies.Load()
 		err := VerifyCert(v, 0, d, c, 3)
@@ -188,21 +186,19 @@ func TestVerifyCertCachePoisoning(t *testing.T) {
 }
 
 // BenchmarkVerifyCert measures commit-certificate verification at quorum
-// sizes nf = 2, 4, 8 in three modes: serial and batched on a 4-worker pool,
-// both on a fresh verifier per iteration so every signature costs real
-// Ed25519 work, and every signature served from the verified-signature
-// cache. Run with -benchmem.
+// sizes nf = 2, 4, 8 in two modes: on a fresh verifier per iteration so
+// every signature costs real Ed25519 work, and with every signature served
+// from the verified-signature cache. Run with -benchmem.
 func BenchmarkVerifyCert(b *testing.B) {
 	for _, nf := range []int{2, 4, 8} {
 		kg, cert, d := certFixture(b, nf)
 		for _, mode := range []struct {
-			name    string
-			workers int
-			cache   bool
-		}{{"serial", 0, false}, {"workers4", 4, false}, {"cachehit", 0, true}} {
+			name  string
+			cache bool
+		}{{"serial", false}, {"cachehit", true}} {
 			b.Run(fmt.Sprintf("nf=%d/%s", nf, mode.name), func(b *testing.B) {
 				ring := fixtureRing(b, kg)
-				v := crypto.NewVerifier(ring, mode.workers)
+				v := crypto.NewVerifier(ring)
 				if err := VerifyCert(v, 0, d, cert, nf); err != nil {
 					b.Fatal(err)
 				}
@@ -210,7 +206,7 @@ func BenchmarkVerifyCert(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if !mode.cache {
-						v = crypto.NewVerifier(ring, mode.workers)
+						v = crypto.NewVerifier(ring)
 					}
 					if err := VerifyCert(v, 0, d, cert, nf); err != nil {
 						b.Fatal(err)

@@ -174,8 +174,8 @@ func (e *Engine) onNewView(m *types.Message) {
 		return
 	}
 	// Verify the justification: nf distinct signed ViewChange tuples,
-	// batched on the shared verifier's worker pool (the structural filter
-	// and sender dedup stay here; the verifier only spends Ed25519 work).
+	// through the shared verifier (the structural filter and sender dedup
+	// stay here; the verifier only spends Ed25519 work).
 	seen := make(map[types.NodeID]struct{}, len(m.ViewMsgs))
 	entries := make([]*types.Signed, 0, len(m.ViewMsgs))
 	for i := range m.ViewMsgs {

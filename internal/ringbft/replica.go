@@ -32,7 +32,6 @@ import (
 	"ringbft/internal/ledger"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
-	"ringbft/internal/sched"
 	"ringbft/internal/store"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
@@ -60,7 +59,6 @@ type Replica struct {
 	kv     *store.KV
 	locks  *store.LockTable
 	chain  *ledger.Chain
-	exec   *sched.Executor
 
 	// Lock-order state (Fig 5): lockQueue holds committed entries awaiting
 	// lock acquisition strictly in sequence order; kmax is the highest
@@ -228,11 +226,6 @@ type cstState struct {
 	carried []types.WriteSet // accumulated read/write sets (Σ)
 	results []types.Value
 
-	// plan is the conflict schedule precomputed while the Forward rotates
-	// (sched.BuildPlan depends only on batch content), so commit-time
-	// execution pays only the parallel run. Nil when ExecWorkers <= 1.
-	plan *sched.Plan
-
 	forwardSentAt time.Time // transmit timer anchor (Section 5.1.1)
 	forwardMsg    *types.Message
 	nextProgress  bool // evidence the next shard progressed; stops retransmission
@@ -300,7 +293,7 @@ func New(opts Options) *Replica {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers)
+	verifier := crypto.NewVerifier(opts.Auth)
 	snapEvery := opts.Config.SnapshotInterval
 	if snapEvery <= 0 {
 		snapEvery = opts.Config.CheckpointInterval
@@ -320,7 +313,6 @@ func New(opts Options) *Replica {
 		clock:            opts.Clock,
 		kv:               store.NewKV(),
 		locks:            store.NewLockTable(),
-		exec:             sched.New(opts.Config.ExecWorkers),
 		chain:            ledger.NewChain(opts.Shard),
 		lockQueue:        make(map[types.SeqNum]*logEntry),
 		csts:             make(map[types.Digest]*cstState),
@@ -350,7 +342,6 @@ func New(opts Options) *Replica {
 		if r.dur != nil {
 			r.dur.SetObserver(r.met.walObserver())
 		}
-		r.exec.SetObserver(r.met.schedObserver())
 	}
 	var onPhase func(seq types.SeqNum, ph trace.Phase, at time.Time)
 	if r.tr != nil || r.met != nil {
@@ -949,7 +940,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	}
 	d := b.Digest()
 	if !b.IsCrossShard() {
-		results := r.executeBatch(b, nil, nil)
+		results := r.executeBatch(b, nil)
 		r.observe(ent.seq, trace.PhaseExecute)
 		r.locks.Unlock(r.localKeys(b), lockOwner(b))
 		r.executed[d] = results
@@ -968,10 +959,6 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	cs.seq = ent.seq
 	cs.cert = ent.cert
 	cs.locked = true
-	if r.exec.Workers() > 1 && cs.plan == nil {
-		// Schedule now, while the Forward/Execute rotations hide the cost.
-		cs.plan = sched.BuildPlan(b.Txns, r.shard, r.cfg.Shards)
-	}
 
 	// Accumulate this shard's read fragment into the carried Σ so that by
 	// the end of rotation 1 the initiator holds every read value the
@@ -990,23 +977,21 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	}
 }
 
-// executeBatch applies every transaction's local fragment through the
-// dependency-aware executor (sequential when ExecWorkers <= 1). remote
-// supplies cross-shard read values (nil for single-shard batches); plan is
-// an optional precomputed schedule (nil = plan inline). A failing
-// transaction (missing dependency = broken Σ accumulation) executes
+// executeBatch applies every transaction's local fragment in batch order.
+// remote supplies cross-shard read values (nil for single-shard batches). A
+// failing transaction (missing dependency = broken Σ accumulation) executes
 // deterministically to the sentinel 0 so replicas stay aligned, and is
 // counted in Stats.ExecErrors.
-func (r *Replica) executeBatch(b *types.Batch, remote map[types.Key]types.Value, plan *sched.Plan) []types.Value {
-	apply := func(i int) (types.Value, error) {
-		return r.kv.ExecuteTxn(&b.Txns[i], r.shard, r.cfg.Shards, remote)
-	}
-	var results []types.Value
+func (r *Replica) executeBatch(b *types.Batch, remote map[types.Key]types.Value) []types.Value {
+	results := make([]types.Value, len(b.Txns))
 	var errs int64
-	if plan != nil {
-		results, errs = r.exec.ExecutePlan(plan, apply)
-	} else {
-		results, errs = r.exec.ExecuteBatch(b.Txns, r.shard, r.cfg.Shards, apply)
+	for i := range b.Txns {
+		v, err := r.kv.ExecuteTxn(&b.Txns[i], r.shard, r.cfg.Shards, remote)
+		if err != nil {
+			errs++
+			continue
+		}
+		results[i] = v
 	}
 	r.execErrors += errs
 	r.executedTxns += int64(len(b.Txns))

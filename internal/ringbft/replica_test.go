@@ -37,13 +37,7 @@ type routed struct {
 	m        *types.Message
 }
 
-func newCluster(t *testing.T, z, n int) *cluster { return newClusterExec(t, z, n, 0) }
-
-// newClusterExec builds a cluster whose replicas run the dependency-aware
-// parallel executor with the given worker count (0 = sequential).
-func newClusterExec(t *testing.T, z, n, execWorkers int) *cluster {
-	return newClusterWith(t, z, n, func(cfg *types.Config) { cfg.ExecWorkers = execWorkers })
-}
+func newCluster(t *testing.T, z, n int) *cluster { return newClusterWith(t, z, n, nil) }
 
 // newClusterWith builds a cluster with a config mutator applied before the
 // replicas are constructed.
@@ -376,65 +370,100 @@ func TestConflictingCSTsSameOrder(t *testing.T) {
 	c.assertNoExecErrors()
 }
 
-// TestParallelExecutionMatchesSequentialCluster drives the same workload —
-// conflicting cross-shard batches plus complex remote-read transactions —
-// through a sequential cluster and one running the dependency-aware
-// executor with 4 workers, and requires identical client results and
-// identical store digests at every replica (the determinism bar of
-// internal/sched, proven end-to-end through consensus).
-func TestParallelExecutionMatchesSequentialCluster(t *testing.T) {
+// TestConflictingCrossShardExecutionAgrees drives conflicting cross-shard
+// batches plus a complex remote-read transaction through one cluster and
+// requires that no transaction fails to execute and that every replica of a
+// shard reaches the same store digest and the same client results.
+func TestConflictingCrossShardExecutionAgrees(t *testing.T) {
 	const z, n = 3, 4
-	run := func(workers int) (map[types.NodeID]types.Digest, map[types.Digest][]types.Value) {
-		c := newClusterExec(t, z, n, workers)
-		shards := []types.ShardID{0, 1, 2}
-		var digests []types.Digest
-		for i := uint64(0); i < 4; i++ {
-			b := mkBatch(types.ClientID(i+1), 1, z, shards, 2+i%2) // overlapping keys conflict
-			digests = append(digests, b.Digest())
-			c.submit(types.ClientID(i+1), b)
-		}
-		cx := types.Txn{
-			ID:     types.TxnID{Client: 9, Seq: 1},
-			Reads:  []types.Key{types.Key(0 + 7*z), types.Key(1 + 7*z), types.Key(2 + 7*z)},
-			Writes: []types.Key{types.Key(0 + 7*z)},
-			Delta:  11,
-		}
-		bx := &types.Batch{Txns: []types.Txn{cx}, Involved: shards}
-		digests = append(digests, bx.Digest())
-		c.submit(9, bx)
+	c := newCluster(t, z, n)
+	shards := []types.ShardID{0, 1, 2}
+	var digests []types.Digest
+	for i := uint64(0); i < 4; i++ {
+		b := mkBatch(types.ClientID(i+1), 1, z, shards, 2+i%2) // overlapping keys conflict
+		digests = append(digests, b.Digest())
+		c.submit(types.ClientID(i+1), b)
+	}
+	cx := types.Txn{
+		ID:     types.TxnID{Client: 9, Seq: 1},
+		Reads:  []types.Key{types.Key(0 + 7*z), types.Key(1 + 7*z), types.Key(2 + 7*z)},
+		Writes: []types.Key{types.Key(0 + 7*z)},
+		Delta:  11,
+	}
+	bx := &types.Batch{Txns: []types.Txn{cx}, Involved: shards}
+	digests = append(digests, bx.Digest())
+	c.submit(9, bx)
 
-		c.assertNoExecErrors()
-		states := make(map[types.NodeID]types.Digest)
-		results := make(map[types.Digest][]types.Value)
-		for id, r := range c.replicas {
-			states[id] = r.Store().Digest()
-			for _, d := range digests {
-				if res, ok := r.executed[d]; ok {
-					results[d] = res
+	c.assertNoExecErrors()
+	states := make(map[types.ShardID]types.Digest)
+	results := make(map[types.Digest][]types.Value)
+	for _, id := range types.SortedNodeKeys(c.replicas) {
+		r := c.replicas[id]
+		st := r.Store().Digest()
+		if want, ok := states[id.Shard]; ok && st != want {
+			t.Fatalf("replica %v: store digest diverges within shard %d", id, id.Shard)
+		}
+		states[id.Shard] = st
+		for _, d := range digests {
+			got, ok := r.executed[d]
+			if !ok {
+				t.Fatalf("replica %v did not execute batch %x", id, d[:4])
+			}
+			want, seen := results[d]
+			if !seen {
+				results[d] = got
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("replica %v batch %x: %d results vs %d", id, d[:4], len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("replica %v batch %x result[%d] = %d, want %d", id, d[:4], i, got[i], want[i])
 				}
 			}
 		}
-		return states, results
 	}
-	seqStates, seqResults := run(0)
-	parStates, parResults := run(4)
-	for id, want := range seqStates {
-		if parStates[id] != want {
-			t.Fatalf("replica %v: parallel store digest diverged from sequential", id)
+}
+
+// TestExecuteBatchCountsErrors: a transaction whose remote read is missing
+// from Σ executes to the sentinel 0, leaves the store untouched, and is
+// counted in Stats.ExecErrors; the rest of the batch executes normally.
+func TestExecuteBatchCountsErrors(t *testing.T) {
+	const z = 3
+	c := newCluster(t, z, 4)
+	r := c.replicas[types.ReplicaNode(0, 0)]
+	remote := make(map[types.Key]types.Value)
+	b := &types.Batch{Involved: []types.ShardID{0, 1}}
+	for i := 0; i < 10; i++ {
+		local := types.Key(uint64(i+1) * z) // owned by shard 0
+		far := types.Key(1 + uint64(i+1)*z) // owned by shard 1
+		if i%5 != 0 {
+			remote[far] = 100
 		}
+		b.Txns = append(b.Txns, types.Txn{
+			ID:     types.TxnID{Client: 1, Seq: uint64(i + 1)},
+			Reads:  []types.Key{local, far},
+			Writes: []types.Key{local},
+			Delta:  5,
+		})
 	}
-	for d, want := range seqResults {
-		got, ok := parResults[d]
-		if !ok {
-			t.Fatalf("batch %x executed sequentially but not in parallel cluster", d[:4])
+	before := r.Stats().ExecErrors
+	got := r.executeBatch(b, remote)
+	if errs := r.Stats().ExecErrors - before; errs != 2 {
+		t.Fatalf("ExecErrors grew by %d, want 2", errs)
+	}
+	for i, v := range got {
+		local := b.Txns[i].Writes[0]
+		want, stored := 5+types.Value(local)+100, 5+2*types.Value(local)+100
+		if i%5 == 0 {
+			want, stored = 0, types.Value(local)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("batch %x: %d results vs %d", d[:4], len(got), len(want))
+		if v != want {
+			t.Fatalf("result[%d] = %d, want %d", i, v, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch %x result[%d] = %d, want %d", d[:4], i, got[i], want[i])
-			}
+		if s := r.Store().Get(local); s != stored {
+			t.Fatalf("key %d = %d after execution, want %d", local, s, stored)
 		}
 	}
 }

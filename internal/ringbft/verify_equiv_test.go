@@ -3,17 +3,25 @@ package ringbft
 import (
 	"testing"
 
+	"ringbft/internal/crypto"
 	"ringbft/internal/types"
 )
 
 // runVerifyWorkload drives one deterministic mixed workload (single-shard
-// and cross-shard batches over overlapping keys) through a cluster built
-// with the given VerifyWorkers setting, and returns per-replica (block
+// and cross-shard batches over overlapping keys) through a cluster, with
+// real Ed25519 signatures behind the verified-signature cache or, when
+// nop is set, with authentication off, and returns per-replica (block
 // digest sequence, store digest) observations.
-func runVerifyWorkload(t *testing.T, verifyWorkers int) (map[types.NodeID][]types.Digest, map[types.NodeID]types.Digest) {
+func runVerifyWorkload(t *testing.T, nop bool) (map[types.NodeID][]types.Digest, map[types.NodeID]types.Digest) {
 	t.Helper()
 	const z, n = 3, 4
-	c := newClusterWith(t, z, n, func(cfg *types.Config) { cfg.VerifyWorkers = verifyWorkers })
+	c := newCluster(t, z, n)
+	if nop {
+		c.wrapAuth = func(types.NodeID, crypto.Authenticator) crypto.Authenticator { return crypto.NopAuth{} }
+		for _, id := range types.SortedNodeKeys(c.replicas) {
+			c.spawn(id)
+		}
+	}
 	var batches []*types.Batch
 	for i := uint64(1); i <= 10; i++ {
 		shards := []types.ShardID{types.ShardID(i % z)}
@@ -33,7 +41,7 @@ func runVerifyWorkload(t *testing.T, verifyWorkers int) (map[types.NodeID][]type
 	for _, b := range batches {
 		cid := types.ClientID(b.Txns[0].ID.Client)
 		if got := c.responses(cid, b.Digest()); got < c.cfg.F()+1 {
-			t.Fatalf("verifyWorkers=%d: batch of client %d got %d responses", verifyWorkers, cid, got)
+			t.Fatalf("nop=%v: batch of client %d got %d responses", nop, cid, got)
 		}
 	}
 	chains := make(map[types.NodeID][]types.Digest)
@@ -48,30 +56,29 @@ func runVerifyWorkload(t *testing.T, verifyWorkers int) (map[types.NodeID][]type
 }
 
 // TestPropertyVerifyFastPathEquivalence (acceptance bar of the crypto fast
-// path): a run whose replicas verify certificates on the batched/cached
-// fast path commits exactly the same block sequences and reaches exactly
-// the same state digests as a run with serial verification — byte-identical
-// protocol behavior, only the CPU cost differs.
+// path): a run whose replicas verify certificates through the
+// verified-signature cache commits exactly the same block sequences and
+// reaches exactly the same state digests as a run that does no signature
+// work at all — byte-identical protocol behavior, only the CPU cost
+// differs.
 func TestPropertyVerifyFastPathEquivalence(t *testing.T) {
-	serialChains, serialStores := runVerifyWorkload(t, 0)
-	for _, workers := range []int{2, 4, 8} {
-		fastChains, fastStores := runVerifyWorkload(t, workers)
-		if len(fastChains) != len(serialChains) {
-			t.Fatalf("workers=%d: replica count mismatch", workers)
+	fastChains, fastStores := runVerifyWorkload(t, false)
+	nopChains, nopStores := runVerifyWorkload(t, true)
+	if len(fastChains) != len(nopChains) {
+		t.Fatal("replica count mismatch")
+	}
+	for id, want := range nopChains {
+		got := fastChains[id]
+		if len(got) != len(want) {
+			t.Fatalf("replica %v: %d blocks, unauthenticated run had %d", id, len(got), len(want))
 		}
-		for id, want := range serialChains {
-			got := fastChains[id]
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d replica %v: %d blocks, serial run had %d", workers, id, len(got), len(want))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("replica %v: block %d digest diverges from unauthenticated run", id, i)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d replica %v: block %d digest diverges from serial run", workers, id, i)
-				}
-			}
-			if fastStores[id] != serialStores[id] {
-				t.Fatalf("workers=%d replica %v: state digest diverges from serial run", workers, id)
-			}
+		}
+		if fastStores[id] != nopStores[id] {
+			t.Fatalf("replica %v: state digest diverges from unauthenticated run", id)
 		}
 	}
 }

@@ -139,6 +139,7 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 	// votes for exactly (Seq, PrefixDigest).
 	seen := make(map[types.NodeID]bool, len(p.Cert))
 	valid := 0
+	var sb [types.SigBytesLen]byte
 	for i := range p.Cert {
 		s := &p.Cert[i]
 		if s.Type != types.MsgCheckpoint || s.Shard != r.shard ||
@@ -148,7 +149,7 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 		if s.From.Kind != types.KindReplica || s.From.Shard != r.shard || seen[s.From] {
 			continue
 		}
-		if r.auth.Verify(s.From, s.SigBytes(), s.Sig) != nil {
+		if r.verifier.Verify(s.From, s.AppendSigBytes(sb[:0]), s.Sig) != nil {
 			continue
 		}
 		seen[s.From] = true
@@ -207,9 +208,7 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 		}
 		b := br.Batch
 		d := b.Digest()
-		results, _ := r.exec.ExecuteBatch(b.Txns, r.shard, r.cfg.Shards, func(j int) (types.Value, error) {
-			return r.kv.ExecuteTxnPartial(&b.Txns[j], r.shard, r.cfg.Shards), nil
-		})
+		results := r.kv.ExecuteBatchPartial(b.Txns, r.shard, r.cfg.Shards)
 		r.executed[d] = results
 		r.proposed[d] = struct{}{}
 		delete(r.awaiting, d)

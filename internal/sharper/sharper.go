@@ -27,7 +27,6 @@ import (
 	"ringbft/internal/ledger"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
-	"ringbft/internal/sched"
 	"ringbft/internal/store"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
@@ -79,7 +78,6 @@ type Replica struct {
 	tracker *pbft.CheckpointTracker
 	kv      *store.KV
 	chain   *ledger.Chain
-	exec    *sched.Executor
 
 	// Local execution pipeline: committed entries execute strictly in local
 	// sequence order; a cross-shard entry blocks until its global all-to-all
@@ -149,7 +147,7 @@ func New(opts Options) *Replica {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers)
+	verifier := crypto.NewVerifier(opts.Auth)
 	ev := opts.Evidence
 	if ev == nil {
 		ev = evidence.NewMemory()
@@ -166,7 +164,6 @@ func New(opts Options) *Replica {
 		clock:    opts.Clock,
 		kv:       store.NewKV(),
 		chain:    ledger.NewChain(opts.Shard),
-		exec:     sched.New(opts.Config.ExecWorkers),
 		entries:  make(map[types.SeqNum]*entry),
 		global:   make(map[types.Digest]*globalState),
 		executed: make(map[types.Digest][]types.Value),
@@ -475,7 +472,7 @@ func (r *Replica) onPropose(m *types.Message) {
 	if m.From.Kind != types.KindReplica || m.From.Shard != b.Initiator() {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.verifier, m) != nil {
 		return
 	}
 	r.globalState(d, b)
@@ -622,7 +619,7 @@ func (r *Replica) onCrossVote(m *types.Message, commit bool) {
 	if m.From.Kind != types.KindReplica {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.verifier, m) != nil {
 		return
 	}
 	gs, ok := r.global[m.Digest]
@@ -752,9 +749,7 @@ func (r *Replica) drainExec() {
 			continue
 		}
 		d := b.Digest()
-		results, _ := r.exec.ExecuteBatch(b.Txns, r.shard, r.cfg.Shards, func(i int) (types.Value, error) {
-			return r.kv.ExecuteTxnPartial(&b.Txns[i], r.shard, r.cfg.Shards), nil
-		})
+		results := r.kv.ExecuteBatchPartial(b.Txns, r.shard, r.cfg.Shards)
 		r.executed[d] = results
 		r.obs.addExecuted(len(b.Txns))
 		r.obs.observe(r.clock(), r.shard, uint64(e.seq), trace.PhaseExecute)

@@ -12,47 +12,17 @@ import (
 	"ringbft/internal/types"
 )
 
-// kvStripeCount shards the table's lock space. Power of two so the stripe
-// index is a shift off a Fibonacci hash; 64 stripes keep contention
-// negligible for the scheduler's worker counts (≤ CPU cores) while Digest
-// still snapshots the full table by holding every stripe briefly.
-// kvStripeShift selects the top kvStripeBits bits of the hash; the
-// compile-time guard below keeps the three constants in lockstep when
-// tuning the stripe count.
-const (
-	kvStripeCount = 64
-	kvStripeBits  = 6
-	kvStripeShift = 64 - kvStripeBits
-)
-
-var _ [kvStripeCount - 1<<kvStripeBits]struct{} // 1<<kvStripeBits == kvStripeCount
-var _ [1<<kvStripeBits - kvStripeCount]struct{}
-
-type kvStripe struct {
+// KV is one shard's partition of the YCSB table. The replica loop is its
+// only writer; the mutex lets Cluster.Read and the harness read it from
+// other goroutines while the loop executes.
+type KV struct {
 	mu   sync.RWMutex
 	data map[types.Key]types.Value
 }
 
-// KV is one shard's partition of the YCSB table. Locks are striped by key so
-// the dependency-aware batch executor (package sched) can run independent
-// transactions concurrently: readers and writers of different keys proceed
-// in parallel, and the scheduler guarantees concurrent transactions never
-// share a key, so per-key locking preserves sequential semantics.
-type KV struct {
-	stripes [kvStripeCount]kvStripe
-}
-
 // NewKV returns an empty table.
 func NewKV() *KV {
-	kv := &KV{}
-	for i := range kv.stripes {
-		kv.stripes[i].data = make(map[types.Key]types.Value)
-	}
-	return kv
-}
-
-func (kv *KV) stripe(k types.Key) *kvStripe {
-	return &kv.stripes[(uint64(k)*0x9E3779B97F4A7C15)>>kvStripeShift]
+	return &KV{data: make(map[types.Key]types.Value)}
 }
 
 // Preload installs n records owned by shard s in a system of z shards with
@@ -67,30 +37,24 @@ func (kv *KV) Preload(s types.ShardID, z int, n int) {
 
 // Get returns the value of k (zero if absent).
 func (kv *KV) Get(k types.Key) types.Value {
-	st := kv.stripe(k)
-	st.mu.RLock()
-	v := st.data[k]
-	st.mu.RUnlock()
+	kv.mu.RLock()
+	v := kv.data[k]
+	kv.mu.RUnlock()
 	return v
 }
 
 // Set writes v at k.
 func (kv *KV) Set(k types.Key, v types.Value) {
-	st := kv.stripe(k)
-	st.mu.Lock()
-	st.data[k] = v
-	st.mu.Unlock()
+	kv.mu.Lock()
+	kv.data[k] = v
+	kv.mu.Unlock()
 }
 
 // Len returns the number of records.
 func (kv *KV) Len() int {
-	n := 0
-	for i := range kv.stripes {
-		st := &kv.stripes[i]
-		st.mu.RLock()
-		n += len(st.data)
-		st.mu.RUnlock()
-	}
+	kv.mu.RLock()
+	n := len(kv.data)
+	kv.mu.RUnlock()
 	return n
 }
 
@@ -104,9 +68,6 @@ func (kv *KV) Len() int {
 // the combined operand, identical at every shard, so clients can match f+1
 // identical responses. Missing remote reads return an error — execution must
 // never guess at dependency values (determinism requirement, Section 3).
-//
-// Writes lock one stripe per key: safe under the sched executor, which only
-// runs transactions with disjoint local read/write sets concurrently.
 func (kv *KV) ExecuteTxn(t *types.Txn, s types.ShardID, z int, remote map[types.Key]types.Value) (types.Value, error) {
 	combined := t.Delta
 	for _, k := range t.Reads {
@@ -134,15 +95,13 @@ func (kv *KV) ApplyTxnWrites(t *types.Txn, s types.ShardID, z int, combined type
 }
 
 func (kv *KV) applyWrites(t *types.Txn, s types.ShardID, z int, combined types.Value) {
+	kv.mu.Lock()
 	for _, k := range t.Writes {
-		if types.OwnerShard(k, z) != s {
-			continue
+		if types.OwnerShard(k, z) == s {
+			kv.data[k] += combined
 		}
-		st := kv.stripe(k)
-		st.mu.Lock()
-		st.data[k] += combined
-		st.mu.Unlock()
 	}
+	kv.mu.Unlock()
 }
 
 // ReadLocal returns the current values of the reads of t owned by shard s,
@@ -163,28 +122,17 @@ func (kv *KV) ReadLocal(t *types.Txn, s types.ShardID, z int) ([]types.Key, []ty
 // fold is a commutative accumulation (sum of key*value mixes) so it is
 // order-independent and cheap; collisions are irrelevant for the simulated
 // checkpoint agreement, which compares honest replicas' identical states.
-// All stripes are read-locked for the duration, which keeps the fold from
-// racing individual writes — but a multi-key transaction releases each
-// write stripe as it goes, so callers must not run Digest concurrently
-// with batch execution (every replica calls it from its event loop, after
-// the executor's layers have joined).
+// A transaction's writes apply under one lock hold, so a concurrent Digest
+// sees each transaction whole or not at all.
 func (kv *KV) Digest() types.Digest {
-	for i := range kv.stripes {
-		kv.stripes[i].mu.RLock()
-	}
-	defer func() {
-		for i := range kv.stripes {
-			kv.stripes[i].mu.RUnlock()
-		}
-	}()
+	kv.mu.RLock()
 	var acc [4]uint64
-	for i := range kv.stripes {
-		//ringbft:ignore mapiter acc accumulates with commutative uint64 addition keyed by k; iteration order cannot change the digest
-		for k, v := range kv.stripes[i].data {
-			x := uint64(k)*0x9E3779B97F4A7C15 ^ uint64(v)*0xC2B2AE3D27D4EB4F
-			acc[k%4] += x
-		}
+	//ringbft:ignore mapiter acc accumulates with commutative uint64 addition keyed by k; iteration order cannot change the digest
+	for k, v := range kv.data {
+		x := uint64(k)*0x9E3779B97F4A7C15 ^ uint64(v)*0xC2B2AE3D27D4EB4F
+		acc[k%4] += x
 	}
+	kv.mu.RUnlock()
 	var d types.Digest
 	for i, a := range acc {
 		for j := 0; j < 8; j++ {
@@ -199,25 +147,14 @@ func (kv *KV) Digest() types.Digest {
 type Pair = types.Pair
 
 // Pairs returns every record sorted by key — the canonical dump a snapshot
-// persists. Like Digest, it read-locks every stripe for the duration and
-// must not run concurrently with batch execution.
+// persists.
 func (kv *KV) Pairs() []Pair {
-	for i := range kv.stripes {
-		kv.stripes[i].mu.RLock()
+	kv.mu.RLock()
+	out := make([]Pair, 0, len(kv.data))
+	for k, v := range kv.data {
+		out = append(out, Pair{K: k, V: v})
 	}
-	n := 0
-	for i := range kv.stripes {
-		n += len(kv.stripes[i].data)
-	}
-	out := make([]Pair, 0, n)
-	for i := range kv.stripes {
-		for k, v := range kv.stripes[i].data {
-			out = append(out, Pair{K: k, V: v})
-		}
-	}
-	for i := range kv.stripes {
-		kv.stripes[i].mu.RUnlock()
-	}
+	kv.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
 	return out
 }
@@ -225,14 +162,13 @@ func (kv *KV) Pairs() []Pair {
 // Restore replaces the entire table content with pairs (crash recovery and
 // peer state transfer installs).
 func (kv *KV) Restore(pairs []Pair) {
-	for i := range kv.stripes {
-		kv.stripes[i].mu.Lock()
-		kv.stripes[i].data = make(map[types.Key]types.Value)
-		kv.stripes[i].mu.Unlock()
-	}
+	data := make(map[types.Key]types.Value, len(pairs))
 	for _, p := range pairs {
-		kv.Set(p.K, p.V)
+		data[p.K] = p.V
 	}
+	kv.mu.Lock()
+	kv.data = data
+	kv.mu.Unlock()
 }
 
 // ExecuteTxnPartial applies the shard-local fragment of t treating missing
@@ -250,4 +186,14 @@ func (kv *KV) ExecuteTxnPartial(t *types.Txn, s types.ShardID, z int) types.Valu
 	}
 	kv.applyWrites(t, s, z, combined)
 	return combined
+}
+
+// ExecuteBatchPartial applies ExecuteTxnPartial to every transaction of a
+// batch in batch order and returns the results.
+func (kv *KV) ExecuteBatchPartial(txns []types.Txn, s types.ShardID, z int) []types.Value {
+	results := make([]types.Value, len(txns))
+	for i := range txns {
+		results[i] = kv.ExecuteTxnPartial(&txns[i], s, z)
+	}
+	return results
 }

@@ -219,3 +219,44 @@ func TestLockTableInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentReadsDuringExecute: Get, Digest, Len and Pairs may run on
+// other goroutines while the replica loop executes transactions (the
+// embedded cluster and the harness read the store that way). Run under
+// -race. A transaction's writes land under one lock hold, so a Pairs
+// snapshot never sees one of its keys updated without the other.
+func TestConcurrentReadsDuringExecute(t *testing.T) {
+	const n = 2000
+	kv := NewKV()
+	kv.Set(1, 0)
+	kv.Set(2, 0)
+	tx := &types.Txn{Writes: []types.Key{1, 2}, Delta: 1}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			if _, err := kv.ExecuteTxn(tx, 0, 1, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		_ = kv.Get(1)
+		_ = kv.Digest()
+		if kv.Len() != 2 {
+			t.Fatalf("Len = %d during execution, want 2", kv.Len())
+		}
+		if p := kv.Pairs(); p[0].V != p[1].V {
+			t.Fatalf("snapshot saw a torn transaction: %v", p)
+		}
+	}
+	if kv.Get(1) != n || kv.Get(2) != n {
+		t.Fatalf("final values %d, %d, want %d", kv.Get(1), kv.Get(2), n)
+	}
+}

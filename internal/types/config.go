@@ -24,22 +24,6 @@ type Config struct {
 	// backpressure (see ringbft.Options.Backpressure).
 	PipelineDepth int
 
-	// ExecWorkers is the worker-pool size of the dependency-aware batch
-	// executor (package sched): committed batches are layered by conflicts
-	// between read/write sets and each layer's independent transactions run
-	// concurrently. 0 or 1 selects the sequential fast path. Results and
-	// state digests are identical either way, so replicas of one shard may
-	// even mix settings.
-	ExecWorkers int
-
-	// VerifyWorkers is the worker-pool size of the batched signature
-	// verifier (crypto.Verifier): the nf Ed25519 signatures of a commit
-	// certificate or new-view justification are checked concurrently on a
-	// pool of this many workers. 0 or 1 selects the serial path. Accept and
-	// reject decisions are identical either way, so replicas of one shard
-	// may mix settings — this mirrors the ExecWorkers knob above.
-	VerifyWorkers int
-
 	// CheckpointInterval is the number of sequence numbers between
 	// checkpoint broadcasts (attack A3: replicas in dark catch up).
 	CheckpointInterval SeqNum

@@ -109,7 +109,6 @@ var (
 	Fig10                 = harness.Fig10
 	AblationLinearForward = harness.AblationLinearForward
 	AblationCrypto        = harness.AblationCrypto
-	AblationExecWorkers   = harness.AblationExecWorkers
 )
 
 // ClusterConfig shapes an embedded RingBFT deployment.
@@ -117,19 +116,6 @@ type ClusterConfig struct {
 	Shards           int // number of shards (ring length); default 3
 	ReplicasPerShard int // n per shard, n >= 3f+1; default 4
 	Records          int // records preloaded per shard; default 4096
-
-	// ExecWorkers enables the dependency-aware parallel batch executor on
-	// every replica (internal/sched): committed batches are layered by
-	// read/write-set conflicts and independent transactions run
-	// concurrently, with results identical to sequential execution.
-	// 0 or 1 = sequential.
-	ExecWorkers int
-
-	// VerifyWorkers enables the batched certificate verifier on every
-	// replica (internal/crypto): the nf Ed25519 signatures of a cross-shard
-	// commit certificate are checked concurrently. Accept/reject decisions
-	// are identical to serial verification. 0 or 1 = serial.
-	VerifyWorkers int
 
 	// LatencyScale > 0 runs over the 15-region WAN model compressed by the
 	// given factor; 0 uses a uniform sub-millisecond LAN latency.
@@ -204,8 +190,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg.SubmitTimeout = 10 * time.Second
 	}
 	tcfg := types.DefaultConfig(cfg.Shards, cfg.ReplicasPerShard)
-	tcfg.ExecWorkers = cfg.ExecWorkers
-	tcfg.VerifyWorkers = cfg.VerifyWorkers
 	tcfg.PipelineDepth = cfg.PipelineDepth
 	if cfg.CheckpointInterval > 0 {
 		tcfg.CheckpointInterval = cfg.CheckpointInterval
